@@ -49,13 +49,21 @@ class OpContext;
 /// operator workspaces, iteration log.
 class EnactorBase {
  public:
-  explicit EnactorBase(simt::Device& dev) : dev_(dev) {}
+  explicit EnactorBase(simt::Device& dev) : dev_(dev) {
+    log_.reserve(kLogReserve);
+  }
 
   simt::Device& device() { return dev_; }
 
   /// Maximum BSP steps before declaring divergence (safety net; the
   /// paper's primitives all converge to an empty frontier).
   static constexpr std::uint32_t kMaxIterations = 100000;
+
+  /// Iteration-log entries reserved up front. Primitives with racing
+  /// updates (CC's hooking) may run a round more or fewer from one enact to
+  /// the next; the reserve keeps such a repeat from growing the log (and the
+  /// result's per_iteration copy) past what the warm-up sized.
+  static constexpr std::size_t kLogReserve = 64;
 
   /// Arms cooperative cancellation/deadline for subsequent enactments:
   /// every iteration loop calls check_cancel() between BSP rounds, so a
@@ -116,6 +124,8 @@ class EnactorBase {
     out.counters = dev_.counters();
     out.device_time_ms = out.counters.time_ms();
     out.host_wall_ms = wall_ms;
+    if (out.per_iteration.capacity() < log_.capacity())
+      out.per_iteration.reserve(log_.capacity());
     out.per_iteration.assign(log_.begin(), log_.end());
     log_.clear();
   }

@@ -3,9 +3,12 @@
 // we can use to compute a rough or seeded solution that may allow faster
 // convergence on a full graph."
 //
-// Deterministic given (seed, iteration): each frontier element is kept
+// Deterministic given (seed, round): each frontier element is kept
 // independently with probability `fraction` via a counter-based hash, so
 // the sample is reproducible and cheap (one coalesced pass + compaction).
+// Survivors are emitted through the two-phase count/scan/scatter assembler
+// (simt::ChunkedOutput), so the output is in input order and byte-identical
+// across host thread counts.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +27,9 @@ struct SampleConfig {
   std::size_t min_keep = 1;   ///< never return empty from a nonempty input
 };
 
-/// Samples `in` into `out`. Keeps order of survivors.
+/// Samples `in` into `out`. Survivors keep their input order; if fewer than
+/// `min_keep` survive, `out` is the first min(min_keep, |in|) elements of
+/// `in`.
 void frontier_sample(simt::Device& dev, const Frontier& in, Frontier& out,
                      const SampleConfig& cfg);
 

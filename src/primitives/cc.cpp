@@ -70,6 +70,14 @@ struct CcProgram {
         }
     p.comp.resize(g.num_vertices());
     std::iota(p.comp.begin(), p.comp.end(), VertexId{0});
+    // The double buffers swap once per round (edges) and once per jump
+    // pass (vertices), and racing hooks vary both counts between enacts,
+    // so either buffer may be the one refilled to full size next time:
+    // reserve both, or a warm enact reallocates whenever the parity flips.
+    edge_frontier.reserve(p.edge_src.size());
+    next_edges.reserve(p.edge_src.size());
+    vf.reserve(g.num_vertices());
+    nvf.reserve(g.num_vertices());
     edge_frontier.resize(p.edge_src.size());
     std::iota(edge_frontier.begin(), edge_frontier.end(), 0u);
     done = false;

@@ -1,8 +1,9 @@
-// Determinism guarantees of the two-phase output assembler: advance and
-// filter outputs are byte-identical regardless of how many host threads ran
-// the kernel (per-chunk staging + scan placement, no per-thread drain
-// order), and all push strategies emit the same frontier in the same order
-// (accepted edges sorted by frontier position, then CSR edge index).
+// Determinism guarantees of the two-phase output assembler: advance,
+// filter, split and sample outputs are byte-identical regardless of how
+// many host threads ran the kernel (per-chunk staging + scan placement, no
+// per-thread drain order), and all push strategies emit the same frontier
+// in the same order (accepted edges sorted by frontier position, then CSR
+// edge index).
 #include <gtest/gtest.h>
 #include <omp.h>
 
@@ -11,11 +12,13 @@
 #include "core/advance.hpp"
 #include "core/filter.hpp"
 #include "core/priority_queue.hpp"
+#include "core/sample.hpp"
 #include "graph/generators.hpp"
 #include "primitives/batch.hpp"
 #include "primitives/bfs.hpp"
 #include "primitives/sssp.hpp"
 #include "test_common.hpp"
+#include "util/rng.hpp"
 
 namespace grx {
 namespace {
@@ -256,6 +259,31 @@ TEST(Determinism, SplitNearFarPreservesInputOrder) {
     split_near_far(dev, items, near, far, is_near);
     EXPECT_EQ(near, ref_near) << threads << " threads";
     EXPECT_EQ(far, ref_far) << threads << " threads";
+  }
+}
+
+TEST(Determinism, SamplePreservesInputOrder) {
+  ThreadRestorer restore;
+  Frontier in;
+  in.assign_iota(10000);
+  SampleConfig cfg;
+  cfg.fraction = 0.25;
+  cfg.seed = 9;
+  cfg.round = 3;
+  // Reference: the documented keep rule applied serially in input order.
+  const auto threshold = static_cast<std::uint64_t>(cfg.fraction * 0x1p64);
+  std::vector<std::uint32_t> ref;
+  for (std::uint32_t v : in.items()) {
+    Rng h(cfg.seed ^ (static_cast<std::uint64_t>(cfg.round) << 32) ^ v);
+    if (h.next_u64() <= threshold) ref.push_back(v);
+  }
+  ASSERT_GE(ref.size(), cfg.min_keep);  // the prefix fallback stays out
+  for (int threads : {1, 4, 16}) {
+    omp_set_num_threads(threads);
+    simt::Device dev;
+    Frontier out;
+    frontier_sample(dev, in, out, cfg);
+    EXPECT_EQ(out.items(), ref) << threads << " threads";
   }
 }
 
